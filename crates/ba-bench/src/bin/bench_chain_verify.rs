@@ -10,6 +10,10 @@
 //!   `VerifierCache`, as a relaying processor sees it: O(L) hashing and
 //!   O(1) signature checks per re-verification.
 //!
+//! It also times one-shot `Sha256::digest` at 64 B, 1 KiB and 1 MiB and
+//! reports the throughput in MB/s, next to the name of the SHA-256
+//! compression kernel the process dispatched to (`sha256::kernel()`).
+//!
 //! Emits a JSON report (timings plus exact per-verify hash / signature-check
 //! counts) to the path given as the first argument, default
 //! `BENCH_chain_verify.json`, and prints the human-readable table on
@@ -21,10 +25,13 @@
 
 use ba_bench::microbench::{bench, print_samples, Sample};
 use ba_crypto::keys::{KeyRegistry, SchemeKind};
+use ba_crypto::sha256::{self, Sha256};
 use ba_crypto::{Chain, CryptoStats, ProcessId, Value};
 use std::fmt::Write as _;
 
 const LENGTHS: [usize; 3] = [8, 32, 128];
+/// Message sizes of the SHA-256 throughput rows.
+const SHA256_SIZES: [usize; 3] = [64, 1024, 1024 * 1024];
 
 struct Row {
     length: usize,
@@ -110,8 +117,19 @@ fn main() {
     let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
     print_samples("chain verification", &samples);
 
-    let mut json =
-        String::from("{\n  \"bench\": \"chain_verify\",\n  \"scheme\": \"Fast\",\n  \"rows\": [\n");
+    let kernel = sha256::kernel();
+    let sha_samples: Vec<Sample> = SHA256_SIZES
+        .iter()
+        .map(|&size| {
+            let data = vec![0xABu8; size];
+            bench(format!("sha256 {size} B"), || Sha256::digest(&data))
+        })
+        .collect();
+    print_samples(&format!("sha256 ({kernel} kernel)"), &sha_samples);
+
+    let mut json = format!(
+        "{{\n  \"bench\": \"chain_verify\",\n  \"scheme\": \"Fast\",\n  \"sha256_kernel\": \"{kernel}\",\n  \"rows\": [\n"
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
@@ -124,6 +142,19 @@ fn main() {
             r.hashes_per_verify,
             r.sig_checks_per_verify,
             if i + 1 == rows.len() { "" } else { "," }
+        );
+    }
+    json.push_str("  ],\n  \"sha256\": [\n");
+    for (i, (size, sample)) in SHA256_SIZES.iter().zip(&sha_samples).enumerate() {
+        // Bytes per nanosecond is GB/s; report decimal MB/s.
+        let mb_per_s = *size as f64 / sample.median_ns * 1000.0;
+        let _ = writeln!(
+            json,
+            "    {{\"bytes\": {size}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"mb_per_s\": {mb_per_s:.1}}}{}",
+            sample.median_ns,
+            sample.mean_ns,
+            sample.min_ns,
+            if i + 1 == sha_samples.len() { "" } else { "," }
         );
     }
     json.push_str("  ]\n}\n");

@@ -31,8 +31,9 @@
 //! signature chains dominate and the ratio is meaningless — the bound is
 //! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4,
 //! scoped vs shared pool) is always on: decisions and metrics must be
-//! byte-identical or the run aborts. Emits a JSON report to the path given
-//! as the first positional argument (default `BENCH_ext.json`).
+//! byte-identical or the run aborts. Emits a JSON report, tagged with the
+//! SHA-256 kernel that ran (`sha256::kernel()`), to the path given as the
+//! first positional argument (default `BENCH_ext.json`).
 //!
 //! ```text
 //! cargo run -p ba-bench --release --bin bench_ext -- --section small --check-overhead
@@ -258,7 +259,10 @@ fn main() {
         .iter()
         .filter(|r| gate_applies(r))
         .all(|r| r.overhead_ratio <= GATE);
-    let mut json = String::from("{\n  \"bench\": \"ext\",\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"ext\",\n  \"sha256_kernel\": \"{}\",\n",
+        ba_crypto::sha256::kernel()
+    );
     let _ = writeln!(
         json,
         "  \"checks\": {{\"overhead_gate\": {overhead_ok}, \"gate_constant\": {GATE}, \
