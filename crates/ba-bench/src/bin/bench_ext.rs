@@ -29,8 +29,8 @@
 //! `--check-overhead` exits non-zero unless every fault-free cell with
 //! ℓ ≥ 256 KiB satisfies `total_bytes ≤ 4·ℓ·n` (at small ℓ the inner-BA
 //! signature chains dominate and the ratio is meaningless — the bound is
-//! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4,
-//! scoped vs shared pool) is always on: decisions and metrics must be
+//! asymptotic in ℓ). A worker-count determinism check (threads 1 vs 4)
+//! is always on: decisions and metrics must be
 //! byte-identical or the run aborts. Emits a JSON report, tagged with the
 //! SHA-256 kernel that ran (`sha256::kernel()`), to the path given as the
 //! first positional argument (default `BENCH_ext.json`).
@@ -157,7 +157,7 @@ fn decided_count(report: &ExtReport) -> usize {
 /// Runs one cell and asserts the determinism and totality contracts: the
 /// judge finds no violation, every correct node decides (the faulty
 /// families stay within the `t` budget, so repair must recover the
-/// payload), and a threads=4/pooled rerun is byte-identical.
+/// payload), and a threads=4 rerun is byte-identical.
 fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
     let base = run_scenario(p, opts, scenario);
     if let Some(failure) = &base.failure {
@@ -182,14 +182,13 @@ fn probe(p: &Bytes, opts: &ExtOptions, scenario: &ExtScenario) -> ExtReport {
         p,
         &ExtOptions {
             threads: 4,
-            pooled: true,
             ..opts.clone()
         },
         scenario,
     );
     if threaded.report.as_ref() != Some(&report) {
         die(&format!(
-            "DETERMINISM BROKEN at n={} ℓ={} [{}]: threads=4/pooled diverges from threads=1",
+            "DETERMINISM BROKEN at n={} ℓ={} [{}]: threads=4 diverges from threads=1",
             opts.n, report.payload_len, scenario.label
         ));
     }

@@ -6,8 +6,8 @@
 //! * `throughput` — K instances of `ds-broadcast` (n = 16, t = 1) on a
 //!   reliable wire, three execution strategies:
 //!   - `serial-runtime`: K back-to-back [`NetRuntime`] runs — the
-//!     pre-service baseline, each run paying its own worker lease, channel
-//!     setup and cold verifier cache;
+//!     pre-service baseline, each run paying its own setup and cold
+//!     verifier cache;
 //!   - `svc-serial`: the multiplexer with `max_inflight = 1` — same
 //!     admission order, one instance at a time (isolates the service's
 //!     fixed overhead from its wins);
@@ -32,10 +32,8 @@
 //!   2× saturation and report steady-state agreements/sec, p50/p99
 //!   submission-to-decision latency, shed rate and queue depth. The
 //!   section also gates exact admission accounting
-//!   (`submitted = decided + degraded + shed`), no-deadlock under
-//!   block-with-deadline admission, and byte-identity of the deprecated
-//!   closed-loop `run()` wrapper with a hand-driven session at every
-//!   thread count.
+//!   (`submitted = decided + degraded + shed`) and no-deadlock under
+//!   block-with-deadline admission.
 //!
 //! The determinism check always runs first and the binary exits non-zero
 //! if it fails: the pipelined fleet must be byte-identical across worker
@@ -395,35 +393,6 @@ fn svc_fingerprint(report: &SvcReport) -> String {
     )
 }
 
-/// Proves the deprecated closed-loop `run()` wrapper byte-identical to a
-/// hand-driven session over the same fixed fleet.
-fn wrapper_matches(target: &CheckTarget, k: usize, threads: usize) -> bool {
-    let svc = SvcConfig::new()
-        .with_threads(threads)
-        .with_queue_capacity(k);
-    let session_report = {
-        let cache = Arc::new(VerifierCache::new());
-        let service = BaService::new(svc.clone()).with_shared_cache(Arc::clone(&cache));
-        let mut session = service.session();
-        for i in 0..k as u64 {
-            session
-                .submit(build_spec(target, i, &cache))
-                .expect("queue sized to the fleet");
-        }
-        session.drain()
-    };
-    let wrapper_report = {
-        let cache = Arc::new(VerifierCache::new());
-        let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-        let specs = (0..k as u64)
-            .map(|i| build_spec(target, i, &cache))
-            .collect();
-        #[allow(deprecated)]
-        service.run(specs)
-    };
-    svc_fingerprint(&session_report) == svc_fingerprint(&wrapper_report)
-}
-
 /// Saturates a tiny session under block-with-deadline admission and
 /// proves every submit returns (accepted or refused — never wedged) and
 /// the drained report still accounts exactly.
@@ -645,7 +614,6 @@ fn main() {
     let mut open_loop_accounting: Option<bool> = None;
     let mut open_loop_deterministic: Option<bool> = None;
     let mut deadlock_free: Option<bool> = None;
-    let mut wrapper_identical: Option<bool> = None;
     if cfg.section("open_loop") {
         let mut accounting = true;
         for rate in OPEN_LOOP_RATES {
@@ -704,7 +672,6 @@ fn main() {
                 svc_fingerprint(&run_open_loop(target, th, OPEN_LOOP_RATES[1])) == want
             }));
         deadlock_free = Some(no_admission_deadlock(target, th_hi));
-        wrapper_identical = Some(cfg.threads.iter().all(|&th| wrapper_matches(target, k, th)));
     }
 
     let samples: Vec<Sample> = rows.iter().map(|r| r.sample.clone()).collect();
@@ -721,13 +688,11 @@ fn main() {
         "  \"checks\": {{\"determinism\": {deterministic}, \"no_agreement_violations\": \
          {no_violations}, \"pipelined_speedup_vs_serial\": {speedup_str}, \
          \"pipelined_speedup_at_least_2x\": {}, \"open_loop_accounting\": {}, \
-         \"open_loop_determinism\": {}, \"no_admission_deadlock\": {}, \
-         \"run_wrapper_byte_identical\": {}}},",
+         \"open_loop_determinism\": {}, \"no_admission_deadlock\": {}}},",
         speedup_hi.is_some_and(|s| s >= 2.0),
         opt(open_loop_accounting),
         opt(open_loop_deterministic),
         opt(deadlock_free),
-        opt(wrapper_identical),
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -776,10 +741,6 @@ fn main() {
         (
             "no admission deadlock under block-with-deadline",
             deadlock_free,
-        ),
-        (
-            "run() wrapper byte-identity with session()",
-            wrapper_identical,
         ),
     ] {
         if ok == Some(false) {

@@ -7,7 +7,7 @@
 //! * **clean** — the run completed and Byzantine Agreement held;
 //! * **degraded** — the runtime aborted with a structured
 //!   [`DegradationVerdict`](ba_net::DegradationVerdict) (fault budget
-//!   exceeded, deadline blown, worker stalled) instead of deciding;
+//!   exceeded or deadline blown) instead of deciding;
 //! * **violation** — the run completed but agreement broke. Expected on
 //!   targets registered unsound; a soundness breach (and a nonzero exit)
 //!   on sound ones, because the runtime must abort rather than decide

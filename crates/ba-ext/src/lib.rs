@@ -42,7 +42,7 @@
 //!    chunks) can force nothing at all.
 //!
 //! The fault-schedule surface mirroring `ba-check`'s explorer lives in
-//! [`check`]; the chaos-runtime driver (dissemination and votes over
+//! [`check`]; the chaos-runtime entry point (all four stages over
 //! `ba-net` with structured degradation verdicts) lives in [`net`];
 //! wire-volume accounting rides the engine's
 //! [`Metrics`] (`bytes_by_correct` / `payload_bytes_by_correct`), so the
@@ -58,9 +58,10 @@ use ba_algos::common::Board;
 use ba_crypto::sha256::{Sha256, DIGEST_LEN};
 use ba_crypto::wire::Encoder;
 use ba_crypto::{Bytes, KeyRegistry, ProcessId, SchemeKind, Signature, Signer, Value, Verifier};
-use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, Simulation, WorkerPool};
+use ba_sim::schedule::{LinkDrop, ScheduleError, ScheduleSpec};
+use ba_sim::{Actor, Envelope, Metrics, Outbox, Payload, Simulation};
 use coding::Coder;
+use net::ExtStage;
 use std::sync::Arc;
 
 /// Signing domain for extension-layer chunks (disjoint from
@@ -682,8 +683,8 @@ impl Actor<ExtMsg> for FetchActor {
 /// builders (the same convention as `SvcConfig`, `NetConfig`, `DsOptions`
 /// and `Alg3Options`).
 ///
-/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping, scoped
-/// threads, fast scheme, `ds-broadcast` inner target.
+/// Defaults: `n = 16`, `t = 2`, seed 0, sequential stepping, fast
+/// scheme, `ds-broadcast` inner target.
 #[derive(Clone, Debug)]
 pub struct ExtOptions {
     /// Number of processors; must be a perfect square `m² ≥ 4` (the grid).
@@ -697,9 +698,6 @@ pub struct ExtOptions {
     /// Worker threads for intra-phase stepping (results byte-identical
     /// at any count).
     pub threads: usize,
-    /// When set, dissemination rides the process-wide
-    /// [`WorkerPool::shared`] instead of per-run scoped threads.
-    pub pooled: bool,
     /// Tag scheme for chunk signatures.
     pub scheme: SchemeKind,
     /// Name of the inner-BA target for digest agreement (must be
@@ -720,7 +718,6 @@ impl Default for ExtOptions {
             t: 2,
             seed: 0,
             threads: 1,
-            pooled: false,
             scheme: SchemeKind::Fast,
             inner: "ds-broadcast",
             vote_inner: "ds-relay",
@@ -755,12 +752,6 @@ impl ExtOptions {
     /// Sets the worker-thread count for intra-phase stepping.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Routes dissemination over the process-wide shared pool.
-    pub fn with_pooled(mut self, pooled: bool) -> Self {
-        self.pooled = pooled;
         self
     }
 
@@ -951,7 +942,7 @@ pub fn agree_on_payload(payload: &Bytes, opts: &ExtOptions) -> Result<ExtReport,
 }
 
 /// Seed for the `w`-th digest-word inner-BA run.
-pub(crate) fn word_seed(seed: u64, w: usize) -> u64 {
+fn word_seed(seed: u64, w: usize) -> u64 {
     seed ^ (0xE87_0000 + w as u64)
 }
 
@@ -971,7 +962,7 @@ pub(crate) fn chunk_seed(seed: u64) -> u64 {
 /// (equivocation is not mappable here — the sender's "equivocation" is
 /// signing inconsistent chunks, which the check layer injects through
 /// the rewrite hook).
-pub(crate) fn apply_spec_faults(
+fn apply_spec_faults(
     actors: &mut [Box<dyn Actor<ExtMsg>>],
     spec: &ScheduleSpec,
 ) -> Result<(), ScheduleError> {
@@ -987,7 +978,7 @@ pub(crate) fn apply_spec_faults(
 
 /// Per-node digest views assembled from each node's OWN word decisions —
 /// agreement on the full digest follows from agreement on every word.
-pub(crate) fn assemble_digest_views(
+fn assemble_digest_views(
     word_views: &[Vec<Option<u64>>],
     n: usize,
 ) -> Vec<Option<[u8; DIGEST_LEN]>> {
@@ -1006,16 +997,16 @@ pub(crate) fn assemble_digest_views(
         .collect()
 }
 
-/// The state shared by the lock-step and ba-net drivers: chunk-signing
-/// registry, signed outgoing chunks, and the run-A actor builder.
-pub(crate) struct ExtSetup {
-    pub(crate) grid: Grid,
-    pub(crate) coder: Coder,
-    pub(crate) registry: KeyRegistry,
+/// The stage driver's coding state: grid, coder and chunk-signing
+/// registry, plus the dissemination and fetch actor builders.
+struct ExtSetup {
+    grid: Grid,
+    coder: Coder,
+    registry: KeyRegistry,
 }
 
 impl ExtSetup {
-    pub(crate) fn new(opts: &ExtOptions) -> ExtSetup {
+    fn new(opts: &ExtOptions) -> ExtSetup {
         ExtSetup {
             grid: Grid::new(opts.n).expect("validated geometry"),
             coder: Coder::new(opts.data_chunks(), opts.n),
@@ -1023,7 +1014,7 @@ impl ExtSetup {
         }
     }
 
-    pub(crate) fn sign_chunks(&self, payload: &Bytes) -> Vec<SignedChunk> {
+    fn sign_chunks(&self, payload: &Bytes) -> Vec<SignedChunk> {
         let sender_signer = self.registry.signer(ExtActor::SENDER);
         self.coder
             .encode(payload)
@@ -1037,7 +1028,7 @@ impl ExtSetup {
 
     /// The dissemination (run A) actors, posting provisional decisions to
     /// `board`.
-    pub(crate) fn dissemination_actors(
+    fn dissemination_actors(
         &self,
         opts: &ExtOptions,
         payload: &Bytes,
@@ -1068,7 +1059,7 @@ impl ExtSetup {
     /// to `board`. `provisional` is run A's board snapshot; `vote_views`
     /// holds per-instance per-node vote decisions
     /// (`vote_views[instance][node]`).
-    pub(crate) fn fetch_actors(
+    fn fetch_actors(
         &self,
         opts: &ExtOptions,
         digest_views: &[Option<[u8; DIGEST_LEN]>],
@@ -1137,7 +1128,7 @@ pub(crate) fn vote_cfg(
 
 /// Sums the demand-driven request messages (dissemination phases 4 and 6,
 /// fetch phases 1 and 3) sent by correct nodes.
-pub(crate) fn count_repair_requests(dissemination: &Metrics, fetch: &Metrics) -> u64 {
+fn count_repair_requests(dissemination: &Metrics, fetch: &Metrics) -> u64 {
     let phase = |m: &Metrics, p: usize| {
         m.per_phase
             .get(p - 1)
@@ -1148,7 +1139,7 @@ pub(crate) fn count_repair_requests(dissemination: &Metrics, fetch: &Metrics) ->
 
 /// Sums the response bytes (dissemination phases 5 and 7, fetch phases 2
 /// and 4) sent by correct nodes.
-pub(crate) fn count_repair_response_bytes(dissemination: &Metrics, fetch: &Metrics) -> u64 {
+fn count_repair_response_bytes(dissemination: &Metrics, fetch: &Metrics) -> u64 {
     let phase = |m: &Metrics, p: usize| m.per_phase.get(p - 1).map_or(0, |ph| ph.bytes_by_correct);
     phase(dissemination, 5) + phase(dissemination, 7) + phase(fetch, 2) + phase(fetch, 4)
 }
@@ -1169,22 +1160,108 @@ pub fn run_extension(
     spec: &ScheduleSpec,
     rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
 ) -> Result<ExtReport, ExtError> {
-    opts.validate().map_err(ExtError::BadOptions)?;
-    spec.validate(opts.n, opts.t)
-        .map_err(ExtError::BadOptions)?;
+    drive_stages(&mut LockStep(opts.threads), payload, opts, spec, rewrite)
+}
+
+/// What one stage run produced, whichever executor ran it.
+pub(crate) struct StageOutcome {
+    pub(crate) decisions: Vec<Option<Value>>,
+    pub(crate) correct: Vec<bool>,
+    pub(crate) metrics: Metrics,
+}
+
+/// The executor [`drive_stages`] runs each stage on: the lock-step engine
+/// ([`run_extension`]) or the chaos runtime
+/// ([`run_extension_net`](net::run_extension_net)).
+pub(crate) trait StageRunner {
+    /// What a failed run reports.
+    type Error;
+
+    /// Lifts a validation or schedule error into [`Self::Error`].
+    fn reject(err: ExtError) -> Self::Error;
+
+    /// Runs one stage's actors for `phases` phases, sharing `registry`'s
+    /// verifier cache, under the schedule's `link_drops`; `fault_budget`
+    /// is the stage's `t`.
+    fn run<P: Payload + 'static>(
+        &mut self,
+        stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        registry: &KeyRegistry,
+        fault_budget: usize,
+        link_drops: &[LinkDrop],
+        phases: usize,
+    ) -> Result<StageOutcome, Self::Error>;
+}
+
+/// Runs stages on the lock-step [`Simulation`] at this many worker
+/// threads.
+struct LockStep(usize);
+
+impl StageRunner for LockStep {
+    type Error = ExtError;
+
+    fn reject(err: ExtError) -> ExtError {
+        err
+    }
+
+    fn run<P: Payload + 'static>(
+        &mut self,
+        _stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        registry: &KeyRegistry,
+        _fault_budget: usize,
+        link_drops: &[LinkDrop],
+        phases: usize,
+    ) -> Result<StageOutcome, ExtError> {
+        let outcome = Simulation::new(actors)
+            .with_threads(self.0)
+            .with_registry(registry)
+            .with_link_drops(link_drops.iter().copied())
+            .run(phases);
+        Ok(StageOutcome {
+            decisions: outcome.decisions,
+            correct: outcome.correct,
+            metrics: outcome.metrics,
+        })
+    }
+}
+
+/// Sequences the four extension stages once on `runner` — digest-word
+/// agreement, grid dissemination, the availability vote and the payload
+/// fetch — and assembles the report. The one driver behind both
+/// [`run_extension`] and [`run_extension_net`](net::run_extension_net).
+pub(crate) fn drive_stages<R: StageRunner>(
+    runner: &mut R,
+    payload: &Bytes,
+    opts: &ExtOptions,
+    spec: &ScheduleSpec,
+    rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
+) -> Result<ExtReport, R::Error> {
+    let bad_options = |msg| R::reject(ExtError::BadOptions(msg));
+    opts.validate().map_err(bad_options)?;
+    spec.validate(opts.n, opts.t).map_err(bad_options)?;
+    let schedule = |err| R::reject(ExtError::Schedule(err));
     let digest = Sha256::digest(payload);
     let words: Vec<u64> = digest
         .chunks_exact(8)
         .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte digest word")))
         .collect();
 
-    let run_inner = |target: &CheckTarget, cfg: &CheckConfig| -> Result<_, ExtError> {
-        let setup = target.build(cfg).map_err(ExtError::Schedule)?;
-        let mut sim = Simulation::new(setup.actors)
-            .with_threads(opts.threads)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied());
-        Ok(sim.run(setup.phases))
+    let run_inner = |runner: &mut R,
+                     target: &CheckTarget,
+                     cfg: &CheckConfig,
+                     stage: ExtStage|
+     -> Result<StageOutcome, R::Error> {
+        let setup = target.build(cfg).map_err(schedule)?;
+        runner.run(
+            stage,
+            setup.actors,
+            &setup.registry,
+            cfg.t,
+            &spec.link_drops,
+            setup.phases,
+        )
     };
 
     // Stage 1 — digest agreement: one inner-BA run per digest word.
@@ -1200,7 +1277,7 @@ pub fn run_extension(
             opts.threads,
             spec.clone(),
         );
-        let outcome = run_inner(target, &cfg)?;
+        let outcome = run_inner(runner, target, &cfg, ExtStage::DigestWord(w))?;
         inner_metrics.merge(&outcome.metrics);
         word_views.push(outcome.decisions.iter().map(|d| d.map(|v| v.0)).collect());
     }
@@ -1213,22 +1290,15 @@ pub fn run_extension(
     let provisional_board = Board::new(opts.n);
     let mut actors =
         setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
-    let actors = rewrite(actors);
-
-    let run_grid = |actors: Vec<Box<dyn Actor<ExtMsg>>>, phases: usize| {
-        let shared_pool;
-        let mut sim = Simulation::new(actors)
-            .with_threads(opts.threads)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied());
-        if opts.pooled {
-            shared_pool = WorkerPool::shared();
-            sim = sim.with_pool(&shared_pool);
-        }
-        sim.run(phases)
-    };
-    let dissemination_outcome = run_grid(actors, DISSEMINATION_PHASES);
+    apply_spec_faults(&mut actors, spec).map_err(schedule)?;
+    let dissemination = runner.run(
+        ExtStage::Dissemination,
+        rewrite(actors),
+        &setup.registry,
+        opts.t,
+        &spec.link_drops,
+        DISSEMINATION_PHASES,
+    )?;
     let provisional = provisional_board.snapshot();
 
     // Stage 3 — availability vote: n parallel one-word inner-BA
@@ -1239,7 +1309,7 @@ pub fn run_extension(
     let mut vote_views: Vec<Vec<Option<Value>>> = Vec::with_capacity(opts.n);
     for (v, &vote) in votes.iter().enumerate() {
         let cfg = vote_cfg(opts, spec, v, vote);
-        let outcome = run_inner(vote_target, &cfg)?;
+        let outcome = run_inner(runner, vote_target, &cfg, ExtStage::Vote(v))?;
         vote_metrics.merge(&outcome.metrics);
         vote_views.push(outcome.decisions);
     }
@@ -1248,11 +1318,17 @@ pub fn run_extension(
     // available voters; everyone finalizes the agreed decision.
     let board = Board::new(opts.n);
     let mut actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtError::Schedule)?;
-    let actors = rewrite(actors);
-    let fetch_outcome = run_grid(actors, FETCH_PHASES);
+    apply_spec_faults(&mut actors, spec).map_err(schedule)?;
+    let fetch = runner.run(
+        ExtStage::Fetch,
+        rewrite(actors),
+        &setup.registry,
+        opts.t,
+        &spec.link_drops,
+        FETCH_PHASES,
+    )?;
 
-    let correct = fetch_outcome.correct;
+    let correct = fetch.correct;
     let availability = correct
         .iter()
         .position(|&c| c)
@@ -1270,18 +1346,12 @@ pub fn run_extension(
         decisions: board.snapshot(),
         correct,
         availability,
-        repair_requests: count_repair_requests(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        repair_response_bytes: count_repair_response_bytes(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
+        repair_requests: count_repair_requests(&dissemination.metrics, &fetch.metrics),
+        repair_response_bytes: count_repair_response_bytes(&dissemination.metrics, &fetch.metrics),
         inner_metrics,
-        dissemination: dissemination_outcome.metrics,
+        dissemination: dissemination.metrics,
         vote: vote_metrics,
-        fetch: fetch_outcome.metrics,
+        fetch: fetch.metrics,
     })
 }
 
@@ -1451,7 +1521,6 @@ mod tests {
         for threads in [4, 8] {
             let opts = ExtOptions {
                 threads,
-                pooled: true,
                 ..ExtOptions::default()
             };
             let report = agree_on_payload(&p, &opts).unwrap();

@@ -5,14 +5,15 @@
 //! This module earns that abstraction on an unreliable wire instead: all
 //! four stages — digest-word agreement, grid dissemination, the
 //! availability vote and the payload fetch — are driven through
-//! [`NetRuntime`], riding its bounded retransmission, backoff, dedup and
-//! phase watchdogs under a seeded [`ChaosProfile`] (loss, duplication,
-//! delay, reordering). Two contracts:
+//! [`NetRuntime`], riding its bounded retransmission, backoff and dedup
+//! under a seeded [`ChaosProfile`] (loss, duplication, delay,
+//! reordering). The stages are sequenced by the same private driver as
+//! the lock-step run; only the stage executor differs. Two contracts:
 //!
 //! * **Reliable wire ⇒ byte identity.** Under [`ChaosProfile::reliable`]
-//!   every stage's decisions and [`Metrics`] are byte-identical to the
-//!   lock-step run at any worker count (`tests/net.rs` proves it at 1 and
-//!   4 workers).
+//!   every stage's decisions and [`Metrics`](ba_sim::Metrics) are
+//!   byte-identical to the lock-step run at any worker count
+//!   (`tests/net.rs` proves it at 1 and 4 workers).
 //! * **Chaos ⇒ decide right or degrade loudly.** When a stage's observable
 //!   fault set exceeds the budget, the runtime aborts that stage with a
 //!   structured [`DegradationVerdict`] and the run surfaces it as
@@ -32,20 +33,18 @@
 //! returns the same per-node vote views as the serial path.
 
 use crate::{
-    apply_spec_faults, assemble_digest_views, count_repair_requests, count_repair_response_bytes,
-    vote_cfg, vote_inputs, word_seed, ExtDecision, ExtMsg, ExtOptions, ExtReport, ExtSetup,
-    DISSEMINATION_PHASES, FETCH_PHASES,
+    drive_stages, vote_cfg, ExtDecision, ExtError, ExtMsg, ExtOptions, ExtReport, StageOutcome,
+    StageRunner,
 };
-use ba_algos::checkable::{CheckConfig, CheckTarget};
-use ba_algos::common::Board;
+use ba_algos::checkable::CheckConfig;
 use ba_crypto::sha256::Sha256;
-use ba_crypto::{Bytes, ProcessId, Value};
+use ba_crypto::{Bytes, KeyRegistry, ProcessId, Value};
 use ba_net::harness::NetRunError;
 use ba_net::svc::instance_seed;
 use ba_net::verdict::{DegradationVerdict, NetStats};
-use ba_net::{run_target_multiplexed, ChaosProfile, NetConfig, NetOutcome, NetRuntime, SvcConfig};
-use ba_sim::schedule::{ScheduleError, ScheduleSpec};
-use ba_sim::{Actor, Metrics};
+use ba_net::{run_target_multiplexed, ChaosProfile, NetConfig, NetRuntime, SvcConfig};
+use ba_sim::schedule::{LinkDrop, ScheduleError, ScheduleSpec};
+use ba_sim::{Actor, Payload};
 
 /// Which stage of the extension protocol a wire event belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -183,159 +182,68 @@ pub fn run_extension_net(
     spec: &ScheduleSpec,
     rewrite: impl Fn(Vec<Box<dyn Actor<ExtMsg>>>) -> Vec<Box<dyn Actor<ExtMsg>>>,
 ) -> Result<ExtNetRun, ExtNetError> {
-    opts.validate().map_err(ExtNetError::BadOptions)?;
-    spec.validate(opts.n, opts.t)
-        .map_err(ExtNetError::BadOptions)?;
-    let digest = Sha256::digest(payload);
-    let words: Vec<u64> = digest
-        .chunks_exact(8)
-        .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte digest word")))
-        .collect();
-    let mut wire: Vec<StageWire> = Vec::new();
-
-    let stage_chaos = |stage: ExtStage| {
-        chaos
-            .clone()
-            .reseeded(instance_seed(chaos.seed, stage.chaos_index(opts.n)))
+    let mut runner = ChaosStages {
+        n: opts.n,
+        net,
+        chaos,
+        wire: Vec::new(),
     };
+    let report = drive_stages(&mut runner, payload, opts, spec, rewrite)?;
+    Ok(ExtNetRun {
+        report,
+        wire: runner.wire,
+    })
+}
 
-    // Inner-BA stages (digest words and votes) through the runtime.
-    let run_inner = |target: &CheckTarget,
-                     cfg: &CheckConfig,
-                     stage: ExtStage,
-                     wire: &mut Vec<StageWire>|
-     -> Result<NetOutcome, ExtNetError> {
-        let setup = target.build(cfg).map_err(ExtNetError::Schedule)?;
-        let netcfg = NetConfig {
-            threads: net.threads,
-            fault_budget: cfg.t,
-            ..net.clone()
-        };
-        let outcome = NetRuntime::new(setup.actors, netcfg)
-            .with_registry(&setup.registry)
-            .with_link_drops(cfg.spec.link_drops.iter().copied())
-            .with_chaos(stage_chaos(stage))
-            .run(setup.phases)
-            .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
-        wire.push(StageWire {
-            stage,
-            stats: outcome.stats.clone(),
-            suspected: outcome.suspected.clone(),
-        });
-        Ok(outcome)
-    };
+/// Runs stages through [`NetRuntime`], each under its own reseeded chaos
+/// profile, collecting every completed stage's [`StageWire`] row.
+struct ChaosStages<'a> {
+    n: usize,
+    net: &'a NetConfig,
+    chaos: &'a ChaosProfile,
+    wire: Vec<StageWire>,
+}
 
-    // Stage 1 — digest agreement.
-    let target = opts.inner_target();
-    let mut inner_metrics = Metrics::default();
-    let mut word_views: Vec<Vec<Option<u64>>> = Vec::with_capacity(words.len());
-    for (w, &word) in words.iter().enumerate() {
-        let cfg = CheckConfig::new(
-            opts.n,
-            opts.t.max(1),
-            Value(word),
-            word_seed(opts.seed, w),
-            net.threads,
-            spec.clone(),
-        );
-        let outcome = run_inner(target, &cfg, ExtStage::DigestWord(w), &mut wire)?;
-        inner_metrics.merge(&outcome.metrics);
-        word_views.push(outcome.decisions.iter().map(|d| d.map(|v| v.0)).collect());
+impl StageRunner for ChaosStages<'_> {
+    type Error = ExtNetError;
+
+    fn reject(err: ExtError) -> ExtNetError {
+        match err {
+            ExtError::BadOptions(msg) => ExtNetError::BadOptions(msg),
+            ExtError::Schedule(err) => ExtNetError::Schedule(err),
+        }
     }
-    let digest_views = assemble_digest_views(&word_views, opts.n);
 
-    // Grid stages (dissemination and fetch) through the runtime.
-    let setup = ExtSetup::new(opts);
-    let run_grid = |actors: Vec<Box<dyn Actor<ExtMsg>>>,
-                    phases: usize,
-                    stage: ExtStage,
-                    wire: &mut Vec<StageWire>|
-     -> Result<NetOutcome, ExtNetError> {
-        let netcfg = NetConfig {
-            threads: net.threads,
-            fault_budget: opts.t,
-            ..net.clone()
-        };
-        let outcome = NetRuntime::new(actors, netcfg)
-            .with_registry(&setup.registry)
-            .with_link_drops(spec.link_drops.iter().copied())
-            .with_chaos(stage_chaos(stage))
+    fn run<P: Payload + 'static>(
+        &mut self,
+        stage: ExtStage,
+        actors: Vec<Box<dyn Actor<P>>>,
+        registry: &KeyRegistry,
+        fault_budget: usize,
+        link_drops: &[LinkDrop],
+        phases: usize,
+    ) -> Result<StageOutcome, ExtNetError> {
+        let chaos = self
+            .chaos
+            .clone()
+            .reseeded(instance_seed(self.chaos.seed, stage.chaos_index(self.n)));
+        let outcome = NetRuntime::new(actors, self.net.clone().with_fault_budget(fault_budget))
+            .with_registry(registry)
+            .with_link_drops(link_drops.iter().copied())
+            .with_chaos(chaos)
             .run(phases)
             .map_err(|verdict| ExtNetError::Degraded { stage, verdict })?;
-        wire.push(StageWire {
+        self.wire.push(StageWire {
             stage,
-            stats: outcome.stats.clone(),
-            suspected: outcome.suspected.clone(),
+            stats: outcome.stats,
+            suspected: outcome.suspected,
         });
-        Ok(outcome)
-    };
-
-    // Stage 2 — dissemination into provisional decisions.
-    let outgoing = setup.sign_chunks(payload);
-    let provisional_board = Board::new(opts.n);
-    let mut actors =
-        setup.dissemination_actors(opts, payload, &digest_views, &outgoing, &provisional_board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
-    let actors = rewrite(actors);
-    let dissemination_outcome = run_grid(
-        actors,
-        DISSEMINATION_PHASES,
-        ExtStage::Dissemination,
-        &mut wire,
-    )?;
-    let provisional = provisional_board.snapshot();
-
-    // Stage 3 — availability vote.
-    let votes = vote_inputs(&provisional);
-    let vote_target = opts.vote_target();
-    let mut vote_metrics = Metrics::default();
-    let mut vote_views: Vec<Vec<Option<Value>>> = Vec::with_capacity(opts.n);
-    for (v, &vote) in votes.iter().enumerate() {
-        let cfg = vote_cfg(opts, spec, v, vote);
-        let outcome = run_inner(vote_target, &cfg, ExtStage::Vote(v), &mut wire)?;
-        vote_metrics.merge(&outcome.metrics);
-        vote_views.push(outcome.decisions);
-    }
-
-    // Stage 4 — payload fetch and final decisions.
-    let board = Board::new(opts.n);
-    let mut actors = setup.fetch_actors(opts, &digest_views, &provisional, &vote_views, &board);
-    apply_spec_faults(&mut actors, spec).map_err(ExtNetError::Schedule)?;
-    let actors = rewrite(actors);
-    let fetch_outcome = run_grid(actors, FETCH_PHASES, ExtStage::Fetch, &mut wire)?;
-
-    let correct = fetch_outcome.correct;
-    let availability: Vec<ProcessId> = correct
-        .iter()
-        .position(|&c| c)
-        .map(|i| {
-            (0..opts.n)
-                .filter(|&v| vote_views[v][i] == Some(Value::ONE))
-                .map(|v| ProcessId(v as u32))
-                .collect()
+        Ok(StageOutcome {
+            decisions: outcome.decisions,
+            correct: outcome.correct,
+            metrics: outcome.metrics,
         })
-        .unwrap_or_default();
-
-    let report = ExtReport {
-        payload_len: payload.len(),
-        digest,
-        decisions: board.snapshot(),
-        correct,
-        availability,
-        repair_requests: count_repair_requests(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        repair_response_bytes: count_repair_response_bytes(
-            &dissemination_outcome.metrics,
-            &fetch_outcome.metrics,
-        ),
-        inner_metrics,
-        dissemination: dissemination_outcome.metrics,
-        vote: vote_metrics,
-        fetch: fetch_outcome.metrics,
-    };
-    Ok(ExtNetRun { report, wire })
+    }
 }
 
 /// Checks that no two correct nodes in `report` disagree on the outcome —

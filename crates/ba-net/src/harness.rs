@@ -41,7 +41,7 @@ pub struct NetRun {
     /// Each processor's decision.
     pub decisions: Vec<Option<Value>>,
     /// Correctness flags after suspicion (see
-    /// [`NetOutcome::correct`](crate::runtime::NetOutcome::correct)).
+    /// [`InstanceRun::correct`](crate::svc::InstanceRun::correct)).
     pub correct: Vec<bool>,
     /// Logical traffic accounting.
     pub metrics: Metrics,

@@ -12,12 +12,13 @@
 //!   fault-schedule vocabulary in [`ba_sim::schedule`];
 //! * [`wire`](crate::runtime) — virtual-tick delivery with bounded
 //!   retransmission, exponential backoff, acks and receiver-side dedup;
-//! * [`runtime`] — actor chunks on real worker threads behind mpsc
-//!   channels, a coordinator phase synchronizer with a wall-clock
-//!   watchdog, and graceful degradation: suspected senders are tolerated
-//!   while the observable fault set fits the budget `t`, and the run
-//!   aborts with a structured [`DegradationVerdict`] the moment it
-//!   doesn't — it never panics and never returns untrustworthy decisions;
+//! * [`runtime`] — one agreement run driven to settlement on a single
+//!   instance track (the chaos-wire executor the service multiplexes),
+//!   its actors stepped in contiguous chunks on the shared worker pool,
+//!   with graceful degradation: suspected senders are tolerated while the
+//!   observable fault set fits the budget `t`, and the run aborts with a
+//!   structured [`DegradationVerdict`] the moment it doesn't — a wire
+//!   failure never panics and never yields untrustworthy decisions;
 //! * [`verdict`] — the structured failure vocabulary ([`NetStats`],
 //!   [`FailedLink`], [`DegradationVerdict`]);
 //! * [`harness`] — drives any `ba-algos` checkable target through the

@@ -14,9 +14,7 @@
 //!   [`AdmissionError`]), [`tick`](SvcSession::tick) advances every
 //!   in-flight instance one phase, [`try_outcome`](SvcSession::try_outcome)
 //!   polls a ticket for settlement, and [`drain`](SvcSession::drain) runs
-//!   the session to quiescence and produces the [`SvcReport`]. The old
-//!   batch entry point [`BaService::run`] survives as a deprecated thin
-//!   wrapper over a session and is proven byte-identical for fixed fleets.
+//!   the session to quiescence and produces the [`SvcReport`].
 //! * **Admission control & backpressure** — a bounded queue
 //!   ([`SvcConfig::queue_capacity`]) guards [`SvcConfig::max_inflight`].
 //!   When the queue is full the session applies its [`AdmissionPolicy`] —
@@ -60,12 +58,24 @@
 //!   blowing its budget yields *its own* [`DegradationVerdict`] while the
 //!   rest of the fleet keeps deciding.
 //!
+//! # Tracks
+//!
+//! Each in-flight instance is a *track*: the one chaos-wire executor in
+//! this crate, owning its actors, inboxes, scheduled drops, fate rng,
+//! suspicion set, metrics and wire statistics. A session steps K tracks
+//! per tick (its parallelism is across tracks, so each track steps its
+//! actors inline); the standalone
+//! [`NetRuntime`](crate::runtime::NetRuntime) drives a single track
+//! straight to settlement, stepping its actors in contiguous chunks on the
+//! shared pool instead.
+//!
 //! # Determinism
 //!
 //! Each instance draws its chaos fates from a private [`SimRng`] seeded
-//! [`instance_seed`]`(profile.seed, ticket)`, and its phases play the wire
-//! in exactly the standalone [`NetRuntime`](crate::runtime::NetRuntime)
-//! order. A multiplexed instance is therefore byte-identical — decisions,
+//! [`instance_seed`]`(profile.seed, ticket)`, and its phases run on the
+//! same track code as the standalone
+//! [`NetRuntime`](crate::runtime::NetRuntime). A multiplexed instance is
+//! therefore byte-identical — decisions,
 //! suspicion, wire statistics — to a standalone run under
 //! [`ChaosProfile::reseeded`]`(instance_seed(seed, ticket))`, at any
 //! worker count: batching changes *when* frames share a physical flush,
@@ -382,8 +392,8 @@ pub struct TaggedFrame<P> {
     pub frame: Envelope<P>,
 }
 
-/// What one settled instance produced — the per-instance analogue of
-/// [`NetOutcome`](crate::runtime::NetOutcome).
+/// What one settled track produced — a session instance's result, and
+/// (as [`NetOutcome`](crate::runtime::NetOutcome)) a standalone run's.
 #[derive(Clone, Debug)]
 pub struct InstanceRun {
     /// Each processor's decision.
@@ -524,16 +534,6 @@ impl SvcReport {
             .map(|o| o.latency())
             .collect()
     }
-
-    /// Documented alias for
-    /// [`submission_to_decision_latencies`](Self::submission_to_decision_latencies),
-    /// kept for callers of the pre-session API. Note the semantic upgrade:
-    /// this used to measure admission-to-decision; it now measures
-    /// submission-to-decision (use
-    /// [`InstanceOutcome::service_time`] for the old figure).
-    pub fn decision_latencies(&self) -> Vec<Duration> {
-        self.submission_to_decision_latencies()
-    }
 }
 
 /// The service front door. Configure once, then open any number of
@@ -580,31 +580,6 @@ impl BaService {
             self.shared_cache.clone(),
         )
     }
-
-    /// Runs every instance in `specs` to settlement (decision or
-    /// per-instance degradation) and reports the fleet outcome — the
-    /// closed-loop batch entry point, kept as a thin wrapper over
-    /// [`session`](Self::session): it widens the queue to hold the whole
-    /// batch, submits every spec up front and drains. For a fixed fleet
-    /// this is byte-identical to driving a session by hand (and to the
-    /// pre-session batch runner); `tests/service.rs` and `bench_service`
-    /// prove it at 1 and 4 workers.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `session()` + `submit()` + `drain()`; `run` is a closed-loop wrapper"
-    )]
-    pub fn run<P: Payload + 'static>(&self, specs: Vec<InstanceSpec<P>>) -> SvcReport {
-        let mut wrapper = self.clone();
-        wrapper.config.queue_capacity = wrapper.config.queue_capacity.max(specs.len());
-        wrapper.config.admission = AdmissionPolicy::Reject;
-        let mut session = wrapper.session();
-        for spec in specs {
-            session
-                .submit(spec)
-                .expect("run(): queue was widened to the batch size");
-        }
-        session.drain()
-    }
 }
 
 /// How far along one ticket is, as reported by [`SvcSession::status`].
@@ -647,8 +622,8 @@ pub struct SvcSession<P> {
     shared_cache: Option<Arc<VerifierCache>>,
     policy: WirePolicy,
     started: Instant,
-    queue: VecDeque<Instance<P>>,
-    active: Vec<Instance<P>>,
+    queue: VecDeque<Track<P>>,
+    active: Vec<Track<P>>,
     settled: BTreeMap<u64, InstanceOutcome>,
     shed: BTreeMap<u64, ShedOutcome>,
     admission_log: Vec<AdmissionVerdict>,
@@ -781,7 +756,7 @@ impl<P: Payload + 'static> SvcSession<P> {
     fn issue(&mut self, spec: InstanceSpec<P>) -> Ticket {
         let id = self.next_id;
         self.next_id += 1;
-        let mut inst = Instance::new(id, spec, self.chaos.seed);
+        let mut inst = Track::new(id, spec, instance_seed(self.chaos.seed, id));
         inst.submitted_tick = self.tick;
         inst.submitted_at = self.started.elapsed();
         self.queue.push_back(inst);
@@ -818,11 +793,11 @@ impl<P: Payload + 'static> SvcSession<P> {
 
         // Step: every in-flight instance advances one phase (or
         // finalizes) concurrently on the shared pool. One pool task
-        // steps all actors of one instance, so the per-instance
+        // steps all actors of one instance inline, so the per-instance
         // thread-local crypto delta is measured where the work runs.
-        let cells: Vec<Mutex<&mut Instance<P>>> = self.active.iter_mut().map(Mutex::new).collect();
+        let cells: Vec<Mutex<&mut Track<P>>> = self.active.iter_mut().map(Mutex::new).collect();
         WorkerPool::shared().run_chunks_capped(cells.len(), self.config.threads, |i| {
-            cells[i].lock().expect("instance cell poisoned").step_one();
+            cells[i].lock().expect("instance cell poisoned").step(1);
         });
         drop(cells);
 
@@ -856,13 +831,12 @@ impl<P: Payload + 'static> SvcSession<P> {
         // the wire with its own rng and policy state — fates are
         // per-instance even though the physical flushes were shared.
         let now = self.started.elapsed();
-        let mut still_active: Vec<Instance<P>> = Vec::with_capacity(self.active.len());
+        let mut still_active: Vec<Track<P>> = Vec::with_capacity(self.active.len());
         for mut inst in std::mem::take(&mut self.active) {
             if inst.finalized() {
-                let outcome = inst.into_decided(self.tick, now);
-                if let Ok(run) = &outcome.result {
-                    self.stats.absorb(&run.stats);
-                }
+                let run = inst.finish();
+                self.stats.absorb(&run.stats);
+                let outcome = inst.outcome(self.tick, now, Ok(run));
                 self.settled.insert(outcome.id, outcome);
                 continue;
             }
@@ -873,10 +847,8 @@ impl<P: Payload + 'static> SvcSession<P> {
             match inst.deliver_phase(frames, &self.chaos, self.policy) {
                 Ok(()) => still_active.push(inst),
                 Err(verdict) => {
-                    let outcome = inst.into_degraded(self.tick, now, verdict);
-                    if let Err(verdict) = &outcome.result {
-                        self.stats.absorb(&verdict.stats);
-                    }
+                    self.stats.absorb(&verdict.stats);
+                    let outcome = inst.outcome(self.tick, now, Err(verdict));
                     self.settled.insert(outcome.id, outcome);
                 }
             }
@@ -986,9 +958,48 @@ impl<P> std::fmt::Debug for SvcSession<P> {
     }
 }
 
-/// One in-flight instance: the standalone runtime's entire per-run state,
-/// privately owned so fates and verdicts never leak across instances.
-struct Instance<P> {
+/// Drives one track to settlement on the calling thread: the whole of a
+/// standalone [`NetRuntime::run`](crate::runtime::NetRuntime::run). Fates
+/// roll from `chaos.seed` itself, every frame is its own wire send
+/// (`solo_flushes`; only a session coalesces), the actors step in
+/// `threads` chunks, and `cache` — the registry cache the actors share,
+/// if any — runs in deferred mode with one flush per phase, the engine's
+/// phase-snapshot discipline.
+pub(crate) fn run_track<P: Payload>(
+    spec: InstanceSpec<P>,
+    chaos: &ChaosProfile,
+    policy: WirePolicy,
+    threads: usize,
+    cache: Option<&VerifierCache>,
+) -> Result<InstanceRun, Box<DegradationVerdict>> {
+    if let Some(cache) = cache {
+        cache.set_deferred(true);
+    }
+    let mut track = Track::new(0, spec, chaos.seed);
+    let result = loop {
+        track.step(threads);
+        if track.finalized() {
+            break Ok(track.finish());
+        }
+        let frames = std::mem::take(&mut track.wire_frames);
+        track.stats.note_solo_flushes(frames.len() as u64);
+        if let Err(verdict) = track.deliver_phase(frames, chaos, policy) {
+            break Err(verdict);
+        }
+        if let Some(cache) = cache {
+            cache.flush_pending();
+        }
+    };
+    if let Some(cache) = cache {
+        cache.set_deferred(false);
+    }
+    result
+}
+
+/// One instance track: a complete single-run chaos-wire executor, its
+/// entire per-run state privately owned so fates and verdicts never leak
+/// across instances. See the [module docs](self#tracks).
+struct Track<P> {
     id: u64,
     actors: Vec<Box<dyn Actor<P>>>,
     n: usize,
@@ -1023,8 +1034,42 @@ struct Instance<P> {
     decisions: Option<Vec<Option<Value>>>,
 }
 
-impl<P: Payload> Instance<P> {
-    fn new(id: u64, spec: InstanceSpec<P>, base_seed: u64) -> Self {
+/// One contiguous actor chunk of a multi-chunk step: each actor's staged
+/// sends with its suppressed-send count, plus the chunk's thread-local
+/// crypto delta.
+struct Chunk<'a, P> {
+    actors: &'a mut [Box<dyn Actor<P>>],
+    staged: Vec<(Vec<Envelope<P>>, u64)>,
+    crypto: CryptoStats,
+}
+
+/// Steps actors `base..base + actors.len()` through `phase` — or
+/// finalizes them when `phase` is `None` — handing each stepped actor's
+/// staged sends and suppressed-send count to `sink`.
+fn step_actors<P: Payload>(
+    actors: &mut [Box<dyn Actor<P>>],
+    base: usize,
+    phase: Option<usize>,
+    inboxes: &[Vec<Envelope<P>>],
+    mut sink: impl FnMut(Vec<Envelope<P>>, u64),
+) {
+    for (j, actor) in actors.iter_mut().enumerate() {
+        let i = base + j;
+        match phase {
+            Some(phase) => {
+                let mut out = Outbox::new(ProcessId(i as u32));
+                actor.step(phase, &inboxes[i], &mut out);
+                let omitted = out.omitted_count();
+                sink(out.into_staged(), omitted);
+            }
+            None => actor.finalize(&inboxes[i]),
+        }
+    }
+}
+
+impl<P: Payload> Track<P> {
+    /// A fresh track whose chaos fates roll from `seed`.
+    fn new(id: u64, spec: InstanceSpec<P>, seed: u64) -> Self {
         let n = spec.actors.len();
         let correct: Vec<bool> = spec.actors.iter().map(|a| a.is_correct()).collect();
         let scheduled_faulty: BTreeSet<ProcessId> = correct
@@ -1033,7 +1078,7 @@ impl<P: Payload> Instance<P> {
             .filter(|(_, ok)| !**ok)
             .map(|(i, _)| ProcessId(i as u32))
             .collect();
-        Instance {
+        Track {
             id,
             n,
             phases: spec.phases,
@@ -1044,7 +1089,7 @@ impl<P: Payload> Instance<P> {
             scheduled_faulty,
             correct,
             suspected: BTreeSet::new(),
-            rng: SimRng::new(instance_seed(base_seed, id)),
+            rng: SimRng::new(seed),
             metrics: Metrics::default(),
             stats: NetStats::default(),
             submitted_tick: 0,
@@ -1064,42 +1109,86 @@ impl<P: Payload> Instance<P> {
         self.decisions.is_some()
     }
 
-    /// Advances the instance by one phase — or finalizes it — on whatever
-    /// pool thread picked it up. Mirrors one worker-loop round of the
-    /// standalone runtime, including the accounting the coordinator does
-    /// there: suppressed sends, nonexistent receivers, scheduled drops.
-    fn step_one(&mut self) {
-        let before = CryptoStats::snapshot();
+    /// Advances the track by one phase — or finalizes it. The actors step
+    /// in up to `threads` contiguous chunks of the engine's geometry on
+    /// the shared pool, each chunk measuring its own thread-local crypto
+    /// delta; a single chunk steps inline on the calling thread. Staged
+    /// sends are then accounted in actor-id order, so the outcome is the
+    /// same at any chunk count.
+    fn step(&mut self, threads: usize) {
         let inboxes: Vec<Vec<Envelope<P>>> = self.inboxes.iter_mut().map(std::mem::take).collect();
-        if self.phase <= self.phases {
-            let phase = self.phase;
-            for (j, actor) in self.actors.iter_mut().enumerate() {
-                let mut out = Outbox::new(ProcessId(j as u32));
-                actor.step(phase, &inboxes[j], &mut out);
-                self.metrics.record_omitted(phase, out.omitted_count());
-                for env in out.into_staged() {
-                    if env.to.index() >= self.n {
-                        continue;
-                    }
-                    if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
-                        self.metrics.record_omitted(phase, 1);
-                        continue;
-                    }
-                    self.wire_frames.push(env);
+        let phase = (self.phase <= self.phases).then_some(self.phase);
+        let workers = threads.clamp(1, self.n.max(1));
+        let chunk_size = self.n.div_ceil(workers).max(1);
+        // Detached while stepping so accounting can borrow the track.
+        let mut actors = std::mem::take(&mut self.actors);
+        if chunk_size >= self.n {
+            let before = CryptoStats::snapshot();
+            step_actors(&mut actors, 0, phase, &inboxes, |staged, omitted| {
+                self.admit(staged, omitted)
+            });
+            self.step_crypto = CryptoStats::snapshot().since(&before);
+        } else {
+            let jobs: Vec<Mutex<Chunk<'_, P>>> = actors
+                .chunks_mut(chunk_size)
+                .map(|actors| {
+                    Mutex::new(Chunk {
+                        actors,
+                        staged: Vec::new(),
+                        crypto: CryptoStats::default(),
+                    })
+                })
+                .collect();
+            WorkerPool::shared().run_chunks_capped(jobs.len(), threads, |w| {
+                let mut guard = jobs[w].lock().expect("track chunk poisoned");
+                let job = &mut *guard;
+                let before = CryptoStats::snapshot();
+                step_actors(
+                    job.actors,
+                    w * chunk_size,
+                    phase,
+                    &inboxes,
+                    |staged, omitted| job.staged.push((staged, omitted)),
+                );
+                job.crypto = CryptoStats::snapshot().since(&before);
+            });
+            let mut crypto = CryptoStats::default();
+            for job in jobs {
+                let job = job.into_inner().expect("track chunk poisoned");
+                crypto = crypto.add(&job.crypto);
+                for (staged, omitted) in job.staged {
+                    self.admit(staged, omitted);
                 }
             }
-        } else {
-            for (j, actor) in self.actors.iter_mut().enumerate() {
-                actor.finalize(&inboxes[j]);
-            }
+            self.step_crypto = crypto;
+        }
+        self.actors = actors;
+        if phase.is_none() {
             self.decisions = Some(self.actors.iter().map(|a| a.decision()).collect());
         }
-        self.step_crypto = CryptoStats::snapshot().since(&before);
     }
 
-    /// Plays this instance's staged frames over the wire and applies the
-    /// standalone runtime's post-wire pipeline: deadline, suspicion, fault
-    /// budget, deliveries, per-phase crypto.
+    /// Accounts one actor's step exactly like the engine's routing
+    /// barrier: suppressed sends, nonexistent receivers, scheduled drops.
+    /// Survivors wait for the wire.
+    fn admit(&mut self, staged: Vec<Envelope<P>>, omitted: u64) {
+        let phase = self.phase;
+        self.metrics.record_omitted(phase, omitted);
+        for env in staged {
+            if env.to.index() >= self.n {
+                continue;
+            }
+            if self.scheduled.admit(phase, env.from, env.to) == Fate::Omit {
+                self.metrics.record_omitted(phase, 1);
+                continue;
+            }
+            self.wire_frames.push(env);
+        }
+    }
+
+    /// Plays this track's staged frames over the wire and applies the
+    /// post-wire pipeline: deadline, suspicion, fault budget, deliveries,
+    /// per-phase crypto.
     fn deliver_phase(
         &mut self,
         frames: Vec<Envelope<P>>,
@@ -1116,6 +1205,8 @@ impl<P: Payload> Instance<P> {
         }
         for link in &report.failed {
             self.suspected.insert(link.from);
+            // A frame that never made it is suppressed traffic, same
+            // bucket as a scheduled drop: sent but never on the wire.
             self.metrics.record_omitted(phase, 1);
         }
         self.stats
@@ -1185,12 +1276,14 @@ impl<P: Payload> Instance<P> {
             reason,
             suspected: self.suspected.iter().copied().collect(),
             failed_links: self.stats.failed_links.clone(),
-            stalled_workers: vec![],
             stats: self.stats.clone(),
         })
     }
 
-    fn into_decided(mut self, tick: u64, now: Duration) -> InstanceOutcome {
+    /// The settled track's result, once finalized: decisions, correctness
+    /// after suspicion, metrics (finalize crypto absorbed) and wire
+    /// statistics.
+    fn finish(&mut self) -> InstanceRun {
         let mut metrics = std::mem::take(&mut self.metrics);
         let tail =
             std::mem::take(&mut self.step_crypto).add(&std::mem::take(&mut self.carry_crypto));
@@ -1200,29 +1293,21 @@ impl<P: Payload> Instance<P> {
         for p in &self.suspected {
             correct[p.index()] = false;
         }
-        InstanceOutcome {
-            id: self.id,
-            submitted_tick: self.submitted_tick,
-            admitted_tick: self.admitted_tick,
-            settled_tick: tick,
-            submitted_at: self.submitted_at,
-            admitted_at: self.admitted_at,
-            decided_at: now,
-            result: Ok(InstanceRun {
-                decisions: self.decisions.take().expect("finalized"),
-                correct,
-                metrics,
-                stats: std::mem::take(&mut self.stats),
-                suspected: self.suspected.iter().copied().collect(),
-            }),
+        InstanceRun {
+            decisions: self.decisions.take().expect("finalized"),
+            correct,
+            metrics,
+            stats: std::mem::take(&mut self.stats),
+            suspected: self.suspected.iter().copied().collect(),
         }
     }
 
-    fn into_degraded(
-        self,
+    /// This track's journey through a session, settled at `tick`/`now`.
+    fn outcome(
+        &self,
         tick: u64,
         now: Duration,
-        verdict: Box<DegradationVerdict>,
+        result: Result<InstanceRun, Box<DegradationVerdict>>,
     ) -> InstanceOutcome {
         InstanceOutcome {
             id: self.id,
@@ -1232,7 +1317,7 @@ impl<P: Payload> Instance<P> {
             submitted_at: self.submitted_at,
             admitted_at: self.admitted_at,
             decided_at: now,
-            result: Err(verdict),
+            result,
         }
     }
 }
@@ -1298,15 +1383,6 @@ mod tests {
         assert_eq!(report.degraded(), 0);
         assert_eq!(report.shed_count(), 0);
         assert!(report.accounting_balanced());
-    }
-
-    #[test]
-    fn empty_service_run_settles_immediately() {
-        let service = BaService::new(SvcConfig::default());
-        #[allow(deprecated)]
-        let report = service.run::<Value>(vec![]);
-        assert_eq!(report.outcomes.len(), 0);
-        assert_eq!(report.ticks, 0);
     }
 
     #[test]

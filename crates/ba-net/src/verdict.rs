@@ -321,12 +321,6 @@ pub enum DegradationReason {
         /// The deadline that expired.
         deadline_ticks: u64,
     },
-    /// A worker thread failed to answer the phase barrier within the
-    /// wall-clock watchdog (stalled, dead, or its actor panicked).
-    WorkerStalled {
-        /// The watchdog timeout that expired, in milliseconds.
-        waited_ms: u64,
-    },
 }
 
 impl fmt::Display for DegradationReason {
@@ -342,19 +336,16 @@ impl fmt::Display for DegradationReason {
                 f,
                 "phase deadline blown: {pending_frames} frames unsettled after {deadline_ticks} ticks"
             ),
-            DegradationReason::WorkerStalled { waited_ms } => {
-                write!(f, "worker stalled: no reply within {waited_ms} ms")
-            }
         }
     }
 }
 
 /// The structured report the runtime emits instead of a result when it
-/// aborts: which phase broke, why, which links failed, who is suspected,
-/// and which workers (if any) stalled. The runtime's contract is that it
-/// *never* panics and *never* returns decisions it cannot stand behind —
-/// when the observable fault set outgrows the budget, this verdict is the
-/// entire output.
+/// aborts: which phase broke, why, which links failed and who is
+/// suspected. The runtime's contract is that a wire failure *never*
+/// panics and *never* yields decisions it cannot stand behind — when the
+/// observable fault set outgrows the budget, this verdict is the entire
+/// output.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DegradationVerdict {
     /// The phase during which the run was abandoned (1-based).
@@ -365,8 +356,6 @@ pub struct DegradationVerdict {
     pub suspected: Vec<ProcessId>,
     /// Every permanently failed link observed up to the abort.
     pub failed_links: Vec<FailedLink>,
-    /// Indices of worker threads that missed the phase barrier.
-    pub stalled_workers: Vec<usize>,
     /// Wire statistics accumulated up to the abort.
     pub stats: NetStats,
 }
@@ -391,9 +380,6 @@ impl fmt::Display for DegradationVerdict {
                 }
                 write!(f, "[{link}]")?;
             }
-        }
-        if !self.stalled_workers.is_empty() {
-            write!(f, "; stalled workers {:?}", self.stalled_workers)?;
         }
         Ok(())
     }
@@ -420,7 +406,6 @@ mod tests {
                 to: ProcessId(0),
                 attempts: 5,
             }],
-            stalled_workers: vec![],
             stats: NetStats::default(),
         };
         let text = verdict.to_string();
@@ -520,7 +505,5 @@ mod tests {
             deadline_ticks: 128,
         };
         assert!(deadline.to_string().contains("4 frames"));
-        let stalled = DegradationReason::WorkerStalled { waited_ms: 250 };
-        assert!(stalled.to_string().contains("250 ms"));
     }
 }

@@ -163,21 +163,48 @@ fn fault_budget_exceeded_aborts_with_structured_verdict() {
 
 #[test]
 fn chaos_runs_are_reproducible_at_any_worker_count() {
-    let target = ba_algos::checkable::find_target("ds-relay").unwrap();
-    let cfg = cfg_for(target.name, ScheduleSpec::default());
-    let chaos = ChaosProfile::stress(33);
-    let run = |threads: usize| {
-        let net = NetConfig {
-            threads,
-            ..NetConfig::default()
-        };
-        match run_target(target, &cfg, &net, &chaos) {
-            Ok(run) => (run.decisions, run.suspected, run.stats),
-            Err(NetRunError::Degraded(v)) => (vec![], v.suspected, v.stats),
-            Err(e) => panic!("{e}"),
+    // Worker counts {1, 2, 3, 8} over n = 4 and n = 5 cover even, uneven
+    // and clamped actor chunks. Everything deterministic must match: the
+    // decisions, suspects and wire statistics, and for a completed run the
+    // full metrics, per-phase crypto included. The stress run completes;
+    // the heavy-loss run fails links, and the failed links' identities
+    // expose the order in which the chunks' frames reached the wire.
+    for (chaos, completes) in [
+        (ChaosProfile::stress(33), true),
+        (ChaosProfile::lossy(1, 600), false),
+    ] {
+        for name in ["ds-relay", "algorithm1"] {
+            let target = ba_algos::checkable::find_target(name).unwrap();
+            let cfg = cfg_for(target.name, ScheduleSpec::default());
+            let run = |threads: usize| {
+                let net = NetConfig {
+                    threads,
+                    ..NetConfig::default()
+                };
+                match run_target(target, &cfg, &net, &chaos) {
+                    Ok(run) => (run.decisions, run.suspected, run.stats, Some(run.metrics)),
+                    Err(NetRunError::Degraded(v)) => (vec![], v.suspected, v.stats, None),
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            let one = run(1);
+            if completes {
+                assert!(
+                    one.3
+                        .as_ref()
+                        .is_some_and(|m| m.crypto.hash_invocations > 0),
+                    "{name}: the stress run must complete for the metrics to be compared"
+                );
+            } else {
+                assert!(!one.2.failed_links.is_empty(), "{name}: no link failed");
+            }
+            for threads in [2usize, 3, 8] {
+                assert_eq!(
+                    run(threads),
+                    one,
+                    "{name} threads={threads}: chaos outcome depends only on the seed"
+                );
+            }
         }
-    };
-    let one = run(1);
-    let four = run(4);
-    assert_eq!(one, four, "chaos outcome depends only on the seed");
+    }
 }

@@ -587,12 +587,8 @@ fn tickets_report_status_and_outcomes_while_streaming() {
     assert_eq!(report.decided(), 2);
     let streamed: Vec<u64> = report.outcomes_iter().map(|o| o.id).collect();
     assert_eq!(streamed, vec![0, 1]);
-    // The alias and the new accessor agree, and per-outcome timestamps
-    // reconstruct the latencies without batch-level context.
-    assert_eq!(
-        report.decision_latencies(),
-        report.submission_to_decision_latencies()
-    );
+    // Per-outcome timestamps reconstruct the latencies without
+    // batch-level context.
     assert_eq!(
         report.submission_to_decision_latencies(),
         report
@@ -600,42 +596,6 @@ fn tickets_report_status_and_outcomes_while_streaming() {
             .map(|o| o.decided_at.saturating_sub(o.submitted_at))
             .collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn deprecated_run_wrapper_is_byte_identical_to_a_session() {
-    // The old closed-loop entry point must produce exactly the report a
-    // hand-driven session produces for the same fixed fleet — at 1 and 4
-    // workers.
-    let target = find_target("ds-broadcast").unwrap();
-    for threads in [1usize, 4] {
-        let svc = SvcConfig::new()
-            .with_threads(threads)
-            .with_queue_capacity(6);
-        let via_session = {
-            let cache = Arc::new(VerifierCache::new());
-            let service = BaService::new(svc.clone()).with_shared_cache(Arc::clone(&cache));
-            let mut session = service.session();
-            for i in 0..6u64 {
-                session.submit(open_loop_spec(target, i, &cache)).unwrap();
-            }
-            session.drain()
-        };
-        let via_run = {
-            let cache = Arc::new(VerifierCache::new());
-            let service = BaService::new(svc).with_shared_cache(Arc::clone(&cache));
-            let specs = (0..6u64)
-                .map(|i| open_loop_spec(target, i, &cache))
-                .collect();
-            #[allow(deprecated)]
-            service.run(specs)
-        };
-        assert_eq!(
-            report_fingerprint(&via_session),
-            report_fingerprint(&via_run),
-            "threads={threads}"
-        );
-    }
 }
 
 #[test]

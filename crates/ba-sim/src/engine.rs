@@ -6,9 +6,8 @@
 //! each phase's deliveries occupy one contiguous [`Inboxes`] buffer
 //! partitioned by an offsets table, double-buffered and swapped at the
 //! phase barrier; each worker stages its actors' sends into one
-//! [`Segment`] buffer in (actor, send-seq) order. With pooling enabled
-//! (the default) every arena retains its capacity across phases, so a
-//! steady-state phase allocates nothing.
+//! [`Segment`] buffer in (actor, send-seq) order. Every arena retains its
+//! capacity across phases, so a steady-state phase allocates nothing.
 //!
 //! # Intra-phase parallelism
 //!
@@ -102,11 +101,9 @@ pub struct Simulation<P: Payload> {
     record_trace: bool,
     observer: Option<PhaseObserver<P>>,
     threads: usize,
-    pooling: bool,
     registry: Option<KeyRegistry>,
     link_drops: BTreeSet<LinkDrop>,
     transport: Option<Box<dyn Transport>>,
-    pool: Option<WorkerPool>,
     batch_verify: bool,
 }
 
@@ -116,7 +113,6 @@ impl<P: Payload> std::fmt::Debug for Simulation<P> {
             .field("n", &self.actors.len())
             .field("record_trace", &self.record_trace)
             .field("threads", &self.threads)
-            .field("pooling", &self.pooling)
             .field("batch_verify", &self.batch_verify)
             .finish()
     }
@@ -130,11 +126,9 @@ impl<P: Payload> Simulation<P> {
             record_trace: false,
             observer: None,
             threads: 1,
-            pooling: true,
             registry: None,
             link_drops: BTreeSet::new(),
             transport: None,
-            pool: None,
             batch_verify: false,
         }
     }
@@ -147,19 +141,10 @@ impl<P: Payload> Simulation<P> {
 
     /// Steps actors across `threads` worker chunks within each phase (see
     /// the [module docs](self) for the determinism contract). `0` and `1`
-    /// both mean sequential, the default. Chunks run on the persistent
-    /// [`WorkerPool`] — the process-shared pool unless
-    /// [`with_pool`](Self::with_pool) injected one.
+    /// both mean sequential, the default. Chunks run on the process-shared
+    /// persistent [`WorkerPool`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Uses `pool` for intra-phase stepping instead of the process-shared
-    /// [`WorkerPool::shared`]. The pool only decides where chunks run;
-    /// results are byte-identical for any pool.
-    pub fn with_pool(mut self, pool: &WorkerPool) -> Self {
-        self.pool = Some(pool.clone());
         self
     }
 
@@ -205,15 +190,6 @@ impl<P: Payload> Simulation<P> {
     /// [`Metrics::omitted_messages`]: crate::metrics::Metrics::omitted_messages
     pub fn with_transport(mut self, transport: impl Transport + 'static) -> Self {
         self.transport = Some(Box::new(transport));
-        self
-    }
-
-    /// Enables or disables the mailbox arenas' capacity retention
-    /// (default: enabled). With pooling off the engine allocates fresh
-    /// arena buffers every phase — the seed behaviour, kept reachable so
-    /// the engine benchmark can measure what pooling buys.
-    pub fn with_mailbox_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
         self
     }
 
@@ -271,7 +247,7 @@ impl<P: Payload> Simulation<P> {
         // The persistent pool: acquired once per run, its threads parked
         // between phases. Sequential runs never touch it.
         let pool = if chunks > 1 {
-            Some(self.pool.clone().unwrap_or_else(WorkerPool::shared))
+            Some(WorkerPool::shared())
         } else {
             None
         };
@@ -413,16 +389,9 @@ impl<P: Payload> Simulation<P> {
             }
 
             // Phase barrier: consumed inboxes become next phase's
-            // collection arena. Pooling keeps every buffer's capacity;
-            // without it the arenas are reallocated from scratch (seed
-            // behaviour).
+            // collection arena, keeping every buffer's capacity.
             std::mem::swap(&mut cur, &mut nxt);
-            if self.pooling {
-                nxt.clear();
-            } else {
-                nxt = Inboxes::new(n);
-                segments = (0..chunks).map(|_| Segment::new()).collect();
-            }
+            nxt.clear();
 
             if stop_when_quiet && !any_sent {
                 break;
@@ -743,7 +712,6 @@ mod tests {
     fn chain_relay_sim(
         n: usize,
         threads: usize,
-        pooling: bool,
     ) -> (Simulation<ba_crypto::Chain>, ba_crypto::keys::KeyRegistry) {
         use ba_crypto::keys::{KeyRegistry, SchemeKind};
         // Fresh registry per run: the shared verifier cache starts cold, so
@@ -763,20 +731,19 @@ mod tests {
         let sim = Simulation::new(actors)
             .with_trace()
             .with_threads(threads)
-            .with_registry(&registry)
-            .with_mailbox_pooling(pooling);
+            .with_registry(&registry);
         (sim, registry)
     }
 
-    fn chain_relay_run(n: usize, threads: usize, pooling: bool) -> RunOutcome<ba_crypto::Chain> {
-        chain_relay_sim(n, threads, pooling).0.run(3)
+    fn chain_relay_run(n: usize, threads: usize) -> RunOutcome<ba_crypto::Chain> {
+        chain_relay_sim(n, threads).0.run(3)
     }
 
     #[test]
     fn parallel_stepping_matches_sequential_byte_for_byte() {
-        let baseline = chain_relay_run(8, 1, true);
+        let baseline = chain_relay_run(8, 1);
         for threads in [2, 4, 8] {
-            let run = chain_relay_run(8, threads, true);
+            let run = chain_relay_run(8, threads);
             assert_eq!(run.decisions, baseline.decisions, "threads={threads}");
             assert_eq!(run.correct, baseline.correct, "threads={threads}");
             assert_eq!(run.metrics, baseline.metrics, "threads={threads}");
@@ -798,8 +765,8 @@ mod tests {
         // Satellite: pin the CryptoStats accounting specifically — every
         // phase's hash and signature-check totals under multi-threaded
         // stepping equal the sequential run's exactly.
-        let sequential = chain_relay_run(8, 1, true);
-        let parallel = chain_relay_run(8, 4, true);
+        let sequential = chain_relay_run(8, 1);
+        let parallel = chain_relay_run(8, 4);
         assert_eq!(
             sequential.metrics.per_phase.len(),
             parallel.metrics.per_phase.len()
@@ -830,19 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_pooling_does_not_change_results() {
-        let pooled = chain_relay_run(6, 1, true);
-        let unpooled = chain_relay_run(6, 1, false);
-        assert_eq!(pooled.decisions, unpooled.decisions);
-        assert_eq!(pooled.metrics, unpooled.metrics);
-        let pooled_par = chain_relay_run(6, 4, true);
-        let unpooled_par = chain_relay_run(6, 4, false);
-        assert_eq!(pooled_par.decisions, unpooled_par.decisions);
-        assert_eq!(pooled_par.metrics, unpooled_par.metrics);
-        assert_eq!(pooled.metrics, unpooled_par.metrics);
-    }
-
-    #[test]
     fn batched_verification_preserves_outcomes_and_cuts_sig_checks() {
         // Same workload, per-delivery vs batched: decisions, message
         // counts and traces are byte-identical; signature-check work
@@ -850,9 +804,9 @@ mod tests {
         // once per recipient — deferred-mode recipients can't see each
         // other's intra-phase verifications, so per-delivery pays per
         // recipient).
-        let per_delivery = chain_relay_run(8, 1, true);
+        let per_delivery = chain_relay_run(8, 1);
         let run_batched = |threads: usize| {
-            let (sim, _reg) = chain_relay_sim(8, threads, true);
+            let (sim, _reg) = chain_relay_sim(8, threads);
             let mut sim = sim.with_batched_verification(true);
             sim.run(3)
         };
@@ -934,17 +888,6 @@ mod tests {
         assert_eq!(par.metrics.phases, 3);
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.decisions, seq.decisions);
-    }
-
-    #[test]
-    fn injected_pool_is_used_and_results_identical() {
-        let pool = WorkerPool::new(2);
-        let (sim, _reg) = chain_relay_sim(8, 4, true);
-        let outcome = sim.with_pool(&pool).run(3);
-        let baseline = chain_relay_run(8, 1, true);
-        assert_eq!(outcome.decisions, baseline.decisions);
-        assert_eq!(outcome.metrics, baseline.metrics);
-        assert!(pool.live_workers() <= 2);
     }
 
     #[test]
